@@ -73,70 +73,28 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 // and returns the combined result. Privacy accounting covers the full
 // history (checkpointed rounds plus the new ones).
 func (c *Checkpoint) Resume(rounds int) (*Result, error) {
-	cfg := c.Cfg
-	spec, err := dataset.Get(cfg.Dataset)
+	// Rebuild the run exactly as core.Run would from the checkpointed
+	// Config, over the whole horizon: the resumed segment trains on the
+	// same partition, engines and aggregation rule as the segment it
+	// continues, and meets exactly the failures the uninterrupted run
+	// would have met.
+	full := c.Cfg
+	full.Rounds = c.NextRound + rounds
+	f, err := newFederation(full)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(spec)
-	strat, err := cfg.Strategy()
-	if err != nil {
-		return nil, err
-	}
-	horizon := c.NextRound + rounds
-	if cfg.PlannedRounds > horizon {
-		horizon = cfg.PlannedRounds
-	}
-	// Rebuild the data and runtime exactly as core.Run would from the
-	// checkpointed Config: the resumed segment must train on the same
-	// partition, engines and aggregation rule as the segment it continues.
-	part, err := cfg.Scenario.Partitioner()
-	if err != nil {
-		return nil, err
-	}
-	ds := dataset.NewPartitioned(spec, cfg.Seed, part)
-	// The fault plan binds over the whole horizon, so a resumed run meets
-	// exactly the failures the uninterrupted run would have met.
-	faults, err := cfg.faultPlan(horizon)
-	if err != nil {
-		return nil, err
-	}
-	hist, err := fl.Run(fl.Config{
-		Data:  ds,
-		Model: spec.ModelSpec(),
-		K:     cfg.K, Kt: cfg.Kt, Rounds: rounds,
-		Round: fl.RoundConfig{
-			BatchSize:    cfg.BatchSize,
-			LocalIters:   cfg.LocalIters,
-			LR:           cfg.LR,
-			Engine:       cfg.Engine,
-			NoiseEngine:  cfg.NoiseEngine,
-			ConfigDigest: cfg.ConfigDigest,
-		},
-		Strategy:        strat,
-		Aggregation:     cfg.Aggregation,
-		Seed:            cfg.Seed,
-		ValExamples:     cfg.ValExamples,
-		EvalEvery:       cfg.EvalEvery,
-		Parallelism:     cfg.Parallelism,
-		InitialParams:   fl.TensorsFromWire(c.Params),
-		StartRound:      c.NextRound,
-		ScheduleHorizon: horizon,
-		Runtime:         cfg.Runtime,
-		DropoutRate:     cfg.DropoutRate,
-		RoundDeadline:   cfg.RoundDeadline,
-		MinQuorum:       cfg.MinQuorum,
-		Faults:          faults,
-	})
+	f.fl.Rounds = rounds
+	f.fl.StartRound = c.NextRound
+	f.fl.InitialParams = fl.TensorsFromWire(c.Params)
+	f.fl.ScheduleHorizon = max(f.cfg.Rounds, f.cfg.PlannedRounds)
+	hist, err := fl.Run(f.fl)
 	if err != nil {
 		return nil, err
 	}
 	// Account for the full composition: checkpointed + resumed rounds.
-	full := cfg
-	full.Rounds = c.NextRound + rounds
-	annotateEpsilonOffset(full, spec, hist, c.NextRound, fl.PopulationOf(cfg.K, faults))
-	res := &Result{History: hist, Spec: spec, Cfg: full}
-	return res, nil
+	annotateEpsilonOffset(f.cfg, f.spec, hist, c.NextRound, fl.PopulationOf(f.cfg.K, f.plan))
+	return &Result{History: hist, Spec: f.spec, Cfg: f.cfg}, nil
 }
 
 // annotateEpsilonOffset is annotateEpsilon for a resumed run: it first

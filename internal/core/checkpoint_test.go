@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"path/filepath"
 	"testing"
+
+	"fedcdp/internal/fl"
+	"fedcdp/internal/tensor"
 )
 
 func checkpointBaseConfig() Config {
@@ -122,5 +125,34 @@ func TestCheckpointUnknownDataset(t *testing.T) {
 	c := &Checkpoint{Cfg: Config{Dataset: "nope"}}
 	if _, err := c.Resume(1); err == nil {
 		t.Fatal("expected error for unknown dataset")
+	}
+}
+
+// TestCheckpointResumeKeepsRunSettings: Resume builds its fl.Config through
+// the helper Run uses, so a resumed run keeps the cohort sampler, the
+// aggregation topology and the GEMM precision of the run it continues and
+// lands on the uninterrupted run's model bit for bit.
+func TestCheckpointResumeKeepsRunSettings(t *testing.T) {
+	base := checkpointBaseConfig()
+	base.Sampler = fl.SamplerFloyd
+	base.Shards = 2
+	base.Precision = tensor.PrecisionFP32
+	full, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := base
+	half.Rounds = 3
+	half.PlannedRounds = 6
+	first, err := Run(half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := CheckpointFrom(first).Resume(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digestTensors(resumed.Final.Params()), digestTensors(full.Final.Params()); got != want {
+		t.Fatalf("resumed digest %x, uninterrupted %x", got, want)
 	}
 }

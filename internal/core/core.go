@@ -80,7 +80,8 @@ type Config struct {
 
 	// Runtime selects the round orchestration: fl.RuntimeStreaming (the
 	// default) or fl.RuntimeBarrier, the lockstep path kept for parity
-	// checking (see DESIGN.md, "Streaming runtime").
+	// checking (see DESIGN.md, "Streaming runtime"). RunSimnet refuses
+	// the barrier runtime.
 	Runtime string
 
 	// Codec selects the wire encoding: fl.CodecGob (the default, and the
@@ -96,11 +97,13 @@ type Config struct {
 	Precision string
 
 	// DropoutRate is the per-round probability that a selected client
-	// fails to report (device churn); see fl.Config.DropoutRate.
+	// fails to report (device churn); see fl.Config.DropoutRate. RunSimnet
+	// refuses a nonzero rate; a drop= fault clause is its realization.
 	DropoutRate float64
 
 	// RoundDeadline is the streaming runtime's per-round straggler
-	// cutoff; zero waits for the full cohort.
+	// cutoff; zero waits for the full cohort. RunSimnet refuses a
+	// nonzero deadline.
 	RoundDeadline time.Duration
 
 	// MinQuorum is the minimum folded updates required to commit a round;
@@ -119,14 +122,15 @@ type Config struct {
 	Aggregation string
 
 	// Shards selects the aggregation topology. 0 (the default) keeps the
-	// legacy float aggregators and flat fold — every pre-hierarchy run
-	// reproduces bit-for-bit. 1 switches to the flat exact-arithmetic
-	// aggregator, the parity oracle for the tree. 2 or more builds an
-	// edge-aggregator tree of that many shards: each edge folds its range
-	// of the client population and forwards one weight-carrying partial,
-	// and the root composes partials exactly — bit-identical to the flat
-	// exact fold at ANY shard count (see DESIGN.md, "Hierarchical
-	// aggregation").
+	// legacy float (or robust) aggregators and flat fold — every
+	// pre-hierarchy run reproduces bit-for-bit. 1 switches to the flat
+	// exact-arithmetic aggregator, the parity oracle for the tree. 2 or
+	// more builds an edge-aggregator tree of that many shards: each edge
+	// folds its range of the client population and forwards one
+	// weight-carrying partial, and the root composes partials exactly —
+	// bit-identical to the flat exact fold at ANY shard count. RunSimnet
+	// deploys every value with one loop: Shards ≤ 1 is the tree with zero
+	// edge tiers (see DESIGN.md, "Hierarchical aggregation").
 	Shards int
 
 	// TreeFanout bounds how many partials the in-process tree composes per
@@ -140,10 +144,11 @@ type Config struct {
 	// populations where allocating K slots per round dominates.
 	Sampler string
 
-	// MuxWorkers bounds concurrent multiplexed client sessions in
-	// RunSimnet's hierarchical path (0 = GOMAXPROCS). Population size is
-	// unconstrained by it: K=100,000 virtual clients run over this many
-	// goroutines and model workspaces.
+	// MuxWorkers bounds concurrent multiplexed client sessions in every
+	// RunSimnet deployment, flat or hierarchical (0 = GOMAXPROCS).
+	// Population size is unconstrained by it: K=100,000 virtual clients run
+	// over this many goroutines and model workspaces. At 1 the sessions run
+	// in cohort order, so even the flat float fold replays bit for bit.
 	MuxWorkers int
 
 	// Faults is a deterministic fault-injection plan in the simnet grammar
@@ -258,6 +263,35 @@ type Result struct {
 // constructs the strategy, runs the federated simulation, and fills in the
 // per-round privacy spending via the moments accountant.
 func Run(cfg Config) (*Result, error) {
+	f, err := newFederation(cfg)
+	if err != nil {
+		return nil, err
+	}
+	hist, err := fl.Run(f.fl)
+	if err != nil {
+		return nil, err
+	}
+	return f.result(hist), nil
+}
+
+// federation is an experiment resolved for execution: defaults filled in,
+// strategy and partitioned dataset built, fault/population plan bound.
+// Run, Checkpoint.Resume and RunSimnet all start here, so every driver
+// executes the same fl.Config — round hyperparameters, schedule horizon,
+// plan binding — from one Config.
+type federation struct {
+	cfg  Config
+	spec dataset.Spec
+	// plan is the bound plan; with no clauses it is empty, never nil.
+	plan *simnet.Plan
+	fl   fl.Config
+}
+
+// newFederation resolves cfg. The plan binds over max(Rounds,
+// PlannedRounds), so a run that is the prefix of a longer plan meets the
+// failures the whole plan would; clipping-decay schedules span
+// PlannedRounds when it is set.
+func newFederation(cfg Config) (*federation, error) {
 	spec, err := dataset.Get(cfg.Dataset)
 	if err != nil {
 		return nil, err
@@ -271,24 +305,27 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := dataset.NewPartitioned(spec, cfg.Seed, part)
-	horizon := cfg.Rounds
-	if cfg.PlannedRounds > horizon {
-		horizon = cfg.PlannedRounds
-	}
-	faults, err := cfg.faultPlan(horizon)
+	plan, err := simnet.ParsePlan(cfg.planSpec())
 	if err != nil {
 		return nil, err
 	}
-
-	hist, err := fl.Run(fl.Config{
-		Data:  ds,
+	if plan, err = plan.Bind(cfg.Seed, max(cfg.Rounds, cfg.PlannedRounds), cfg.K); err != nil {
+		return nil, err
+	}
+	schedule := cfg.Rounds
+	if cfg.PlannedRounds > 0 {
+		schedule = cfg.PlannedRounds
+	}
+	fc := fl.Config{
+		Data:  dataset.NewPartitioned(spec, cfg.Seed, part),
 		Model: spec.ModelSpec(),
 		K:     cfg.K, Kt: cfg.Kt, Rounds: cfg.Rounds,
 		Round: fl.RoundConfig{
 			BatchSize:    cfg.BatchSize,
 			LocalIters:   cfg.LocalIters,
 			LR:           cfg.LR,
+			TotalRounds:  schedule,
+			Scenario:     cfg.Scenario,
 			Engine:       cfg.Engine,
 			NoiseEngine:  cfg.NoiseEngine,
 			Precision:    cfg.Precision,
@@ -309,13 +346,19 @@ func Run(cfg Config) (*Result, error) {
 		DropoutRate:     cfg.DropoutRate,
 		RoundDeadline:   cfg.RoundDeadline,
 		MinQuorum:       cfg.MinQuorum,
-		Faults:          faults,
-	})
-	if err != nil {
-		return nil, err
 	}
-	ledger := annotateEpsilon(cfg, spec, hist, fl.PopulationOf(cfg.K, faults))
-	return &Result{History: hist, Spec: spec, Cfg: cfg, Ledger: ledger}, nil
+	if cfg.planSpec() != "" {
+		// A clean run carries no plan at all: the runtimes skip every
+		// fault and adversary probe.
+		fc.Faults = plan
+	}
+	return &federation{cfg: cfg, spec: spec, plan: plan, fl: fc}, nil
+}
+
+// result annotates a finished history with its privacy spending.
+func (f *federation) result(hist *fl.History) *Result {
+	ledger := annotateEpsilon(f.cfg, f.spec, hist, fl.PopulationOf(f.cfg.K, f.plan))
+	return &Result{History: hist, Spec: f.spec, Cfg: f.cfg, Ledger: ledger}
 }
 
 // planSpec joins the fault and population clauses into the single simnet
@@ -330,22 +373,6 @@ func (c Config) planSpec() string {
 		return c.Faults
 	}
 	return c.Faults + "," + c.Population
-}
-
-// faultPlan parses and binds the configured fault plan over a round
-// horizon; a nil fl.FaultPlan (clean run) comes back for the empty string.
-// The horizon matters for resumed runs: binding over the full plan keeps a
-// checkpoint-resumed run failing exactly like the uninterrupted one.
-func (c Config) faultPlan(horizon int) (fl.FaultPlan, error) {
-	spec := c.planSpec()
-	if spec == "" {
-		return nil, nil
-	}
-	plan, err := simnet.ParsePlan(spec)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Bind(c.Seed, horizon, c.K)
 }
 
 // roundSamplingRate returns the method's per-step sampling rate for a round

@@ -2,7 +2,9 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/fl"
@@ -296,5 +298,101 @@ func TestRunSimnetUnknownCodecRejected(t *testing.T) {
 	cfg.Codec = "msgpack"
 	if _, err := RunSimnet(cfg); err == nil {
 		t.Fatal("unknown codec must be rejected")
+	}
+}
+
+// TestRunSimnetRefusesUnrealizableSettings: the deployment has no
+// transport realization for dropout coins, a straggler deadline or the
+// barrier runtime. Each is refused with an error naming the field, in
+// every topology, instead of running without it under a config digest
+// that says it ran.
+func TestRunSimnetRefusesUnrealizableSettings(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"DropoutRate", func(c *Config) { c.DropoutRate = 0.2 }},
+		{"RoundDeadline", func(c *Config) { c.RoundDeadline = time.Second }},
+		{"Runtime", func(c *Config) { c.Runtime = fl.RuntimeBarrier }},
+	} {
+		for _, shards := range []int{0, 1, 2} {
+			cfg := simnetBaseConfig()
+			cfg.Shards = shards
+			tc.mutate(&cfg)
+			if _, err := RunSimnet(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s, shards=%d: got %v, want an error naming %s", tc.field, shards, err, tc.field)
+			}
+		}
+	}
+}
+
+// TestRunSimnetMatchesRunOverPlannedHorizon: both drivers build the round
+// config and bind the plan through one helper, so a run that is the prefix
+// of a longer plan decays its clip bound over the planned horizon and meets
+// the planned failures in either runtime — the exact folds then commit the
+// same model.
+func TestRunSimnetMatchesRunOverPlannedHorizon(t *testing.T) {
+	cfg := simnetBaseConfig()
+	cfg.Method = MethodFedCDPDecay
+	cfg.Sigma = 0.06
+	cfg.Shards = 1
+	cfg.PlannedRounds = 2 * cfg.Rounds
+	cfg.Faults = "crash=2"
+	cfg.MinQuorum = 1
+	inproc, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deployed, err := RunSimnet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digestTensors(deployed.Final.Params()), digestTensors(inproc.Final.Params()); got != want {
+		t.Fatalf("simnet final-model digest %x, in-process %x", got, want)
+	}
+	if got, want := deployed.FinalEpsilon(), inproc.FinalEpsilon(); got != want {
+		t.Fatalf("simnet ε %v, in-process %v", got, want)
+	}
+}
+
+// TestRunSimnetFlatBitReproducible: one mux worker serves the flat
+// deployment's sessions in cohort order, so even the float fold (Shards=0)
+// replays bit for bit — final model, ε and every round's wire bytes —
+// across invocations and GOMAXPROCS, under drops, crashes and a restart.
+func TestRunSimnetFlatBitReproducible(t *testing.T) {
+	type fingerprint struct {
+		digest  uint64
+		epsilon float64
+		wire    []int64
+	}
+	take := func(maxprocs int) fingerprint {
+		t.Helper()
+		if maxprocs > 0 {
+			old := runtime.GOMAXPROCS(maxprocs)
+			defer runtime.GOMAXPROCS(old)
+		}
+		cfg := acceptanceConfig()
+		cfg.MuxWorkers = 1
+		res, err := RunSimnet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := fingerprint{digest: digestTensors(res.Final.Params()), epsilon: res.FinalEpsilon()}
+		for _, r := range res.Rounds {
+			fp.wire = append(fp.wire, r.WireBytes)
+		}
+		return fp
+	}
+	base := take(0)
+	for _, procs := range []int{0, 1, 2, 4} {
+		alt := take(procs)
+		if alt.digest != base.digest || alt.epsilon != base.epsilon {
+			t.Fatalf("GOMAXPROCS=%d: digest %x ε %v, first run %x ε %v", procs, alt.digest, alt.epsilon, base.digest, base.epsilon)
+		}
+		for i := range base.wire {
+			if alt.wire[i] != base.wire[i] {
+				t.Fatalf("GOMAXPROCS=%d round %d: %d wire bytes, first run %d", procs, i, alt.wire[i], base.wire[i])
+			}
+		}
 	}
 }

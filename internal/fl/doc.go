@@ -92,8 +92,8 @@
 // pure functions of the update multiset — bit-identical in any arrival
 // order, at any GOMAXPROCS, with TrimmedMean(β=0) equal to the exact mean
 // fold bit-for-bit. Robust rules ignore aggregation weights, and they are
-// not grouping-invariant: NewAggregatorFor and validate refuse them on
-// any sharded topology. See DESIGN.md, "Adversarial clients & robust
+// not grouping-invariant: NewAggregatorFor and Config.Validate refuse them
+// on any sharded topology. See DESIGN.md, "Adversarial clients & robust
 // aggregation".
 //
 // # Remote deployment
@@ -124,4 +124,14 @@
 // truncated or oversized frames and non-finite values error out instead
 // of panicking or poisoning the model, and update re-submissions after a
 // lost ack are acknowledged but folded only once.
+//
+// Every client path — RunRemoteClient and its variants, ClientMux,
+// AbandonSession and SendPartial — opens its session through one opener
+// (dial, handshake, codec negotiation, round announcement, refusal,
+// announcement validation, the ClientOptions.ExpectDigest check), and the
+// remote client and the mux train through one body on a ClientWorkspace,
+// so the paths cannot drift apart. ClientMux is the client side of every
+// core.RunSimnet deployment, flat or hierarchical: a fixed worker pool
+// serves any number of virtual clients, and at one worker it serves them
+// in task order, which makes even a float fold replay bit for bit.
 package fl

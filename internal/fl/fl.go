@@ -490,7 +490,10 @@ func corruptUpdate(cfg Config, round, id int, update []*tensor.Tensor) {
 	}
 }
 
-func (c *Config) validate() error {
+// Validate reports the first setting Run would refuse. Drivers that run
+// rounds outside Run (core.RunSimnet) call it so every runtime accepts
+// exactly the same configurations.
+func (c *Config) Validate() error {
 	switch {
 	case c.Data == nil:
 		return fmt.Errorf("fl: config needs a dataset")
@@ -545,7 +548,7 @@ func (c *Config) validate() error {
 
 // Run executes the full federated simulation and returns its history.
 func Run(cfg Config) (*History, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	// The schedule horizon spans any checkpointed prefix plus this run,
@@ -676,16 +679,6 @@ func runBarrierRound(cfg Config, global *nn.Model, cohort []int, round int, work
 		agg.Commit(params)
 	}
 	return rs
-}
-
-// clientNoiseFor derives a client's counter noise generator, or nil when the
-// round config selects the reference noise engine.
-func clientNoiseFor(rc RoundConfig, seed int64, round, clientID int) *tensor.CounterRNG {
-	if rc.NoiseEngine == NoiseReference {
-		return nil
-	}
-	n := ClientNoise(seed, round, clientID)
-	return &n
 }
 
 // sampleCohort picks the participating client IDs for a round, drawing

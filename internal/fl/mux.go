@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -13,17 +11,21 @@ import (
 	"fedcdp/internal/tensor"
 )
 
-// Multiplexed virtual clients. The goroutine-per-client deployment pattern
-// (one RunRemoteClientRound goroutine per cohort member, each building its
-// own model and arena) caps simulated populations at a few hundred: at
+// Multiplexed virtual clients, the client side of every core.RunSimnet
+// deployment, flat or hierarchical. The goroutine-per-client pattern (one
+// RunRemoteClientRound goroutine per cohort member, each building its own
+// model and arena) caps simulated populations at a few hundred: at
 // K=100,000 the goroutines, models and scratch buffers are O(K). Here a
 // virtual client is DATA — a few words of cursor state in a lazily
 // populated map — and only a fixed worker pool is EXECUTION: each worker
 // owns one reusable ClientWorkspace (model, arena, RNG) and drains a round
 // task list, so K clients cost O(workers) goroutines and buffers plus
-// O(touched clients) cursor words. Training stays a pure function of
-// (seed, round, clientID), so multiplexing changes scheduling, never
-// results.
+// O(touched clients) cursor words. Sessions open through the same opener
+// and train through the same body (ClientWorkspace.train) as
+// RunRemoteClientRound. Training stays a pure function of (seed, round,
+// clientID), so multiplexing changes scheduling, never update bytes; with
+// one worker the sessions also run in task order, so the server folds
+// updates in a fixed order.
 
 // VirtualClient is one simulated client's persistent cursor: everything
 // that must survive between its rounds. It is deliberately tiny — the
@@ -216,72 +218,27 @@ func (m *ClientMux) runTask(ws *ClientWorkspace, task MuxTask) MuxResult {
 }
 
 // runSession is RunRemoteClientRound on a reusable workspace: same
-// protocol, same per-round streams, no per-session model/arena/RNG
-// construction. The update bytes are bit-identical to the goroutine-per-
-// client path because every input to training — parameters, data shard,
-// RNG stream, noise keys — is derived exactly the same way.
+// session opener, same training body, no per-session model/arena/RNG
+// construction — so the update bytes are bit-identical to the goroutine-
+// per-client path.
 func (m *ClientMux) runSession(ws *ClientWorkspace, vc *VirtualClient, addr string, opt ClientOptions) (int, error) {
-	conn, err := opt.dial(addr)
-	if err != nil {
-		return 0, fmt.Errorf("fl: dialing %s: %w", addr, err)
-	}
-	defer conn.Close()
-	var rw io.ReadWriter = conn
-	if opt.Secure {
-		sc, err := Handshake(conn)
-		if err != nil {
-			return 0, err
-		}
-		rw = sc
-	}
-	sess, err := newClientSession(rw, opt.Codec)
+	s, err := openSession(addr, opt)
 	if err != nil {
 		return 0, err
 	}
-	var pm ParamMsg
-	if err := sess.ReadParam(&pm); err != nil {
-		return 0, fmt.Errorf("fl: reading params: %w", err)
-	}
-	if pm.Denied {
-		return 0, fmt.Errorf("%w: %s", ErrRoundClosed, pm.Reason)
-	}
-	if err := pm.Validate(); err != nil {
-		return 0, fmt.Errorf("fl: invalid round announcement: %w", err)
-	}
+	defer s.conn.Close()
 	data := AdversaryShard(m.Adversary, vc.ID, m.Data.Client(vc.ID))
-	if pm.Cfg.Scenario.Name != "" {
-		p, err := pm.Cfg.Scenario.Partitioner()
-		if err != nil {
-			return 0, err
-		}
-		data = data.RepartitionAt(p, pm.Round)
+	delta, weight, err := ws.train(m.Strat, m.Adversary, m.Seed, vc.ID, data, &s.pm)
+	if err != nil {
+		return 0, err
 	}
-	ws.model.SetParams(TensorsFromWire(pm.Params))
-	ws.model.SetPrecision(pm.Cfg.Precision)
-	ws.rng.Reseed(m.Seed, 4, int64(pm.Round), int64(vc.ID))
-	ws.env = ClientEnv{
-		ClientID: vc.ID,
-		Round:    pm.Round,
-		Model:    ws.model,
-		Data:     data,
-		RNG:      ws.rng,
-		Cfg:      pm.Cfg,
-		Arena:    ws.arena,
-	}
-	if pm.Cfg.NoiseEngine != NoiseReference {
-		ws.noise = ClientNoise(m.Seed, pm.Round, vc.ID)
-		ws.env.Noise = &ws.noise
-	}
-	delta, _ := m.Strat.ClientUpdate(&ws.env)
-	if m.Adversary != nil {
-		m.Adversary.CorruptUpdate(pm.Round, vc.ID, delta)
-	}
+	round := s.pm.Round
 	var qs *QuantState
-	if opt.Quant != QuantNone && pm.Round >= vc.NextRound {
+	if opt.Quant != QuantNone && round >= vc.NextRound {
 		// Error-feedback residuals bank each round exactly once; a
 		// re-served round re-submits the identical update without touching
 		// them (the MinRound contract, tracked per virtual client).
-		if vc.LastRound >= 0 && m.Population.AwayBetween(vc.LastRound+1, pm.Round, vc.ID) {
+		if vc.LastRound >= 0 && m.Population.AwayBetween(vc.LastRound+1, round, vc.ID) {
 			// The client departed and returned since it last trained: its
 			// banked rounding debt describes a model state the federation
 			// moved past without it. Replaying it would inject a stale
@@ -293,15 +250,49 @@ func (m *ClientMux) runSession(ws *ClientWorkspace, vc *VirtualClient, addr stri
 		}
 		qs = vc.Quant
 	}
-	if err := sess.WriteUpdateTensors(vc.ID, pm.Round, float64(data.Len()), delta, opt.Quant, qs); err != nil {
-		return pm.Round, fmt.Errorf("fl: sending update: %w", err)
+	return round, s.submit(vc.ID, weight, delta, opt.Quant, qs)
+}
+
+// train is the one client training body, shared by RunRemoteClientRound
+// and the ClientMux: it loads the announced parameters and precision,
+// repartitions data under the published scenario at the announced round,
+// derives the round's RNG and noise streams from (seed, round, clientID),
+// runs the strategy and applies the plan's Byzantine corruption. data is
+// the client's shard, already poisoned if the plan says so
+// (AdversaryShard). It returns the update and the example count the
+// server weights it by.
+func (ws *ClientWorkspace) train(strat Strategy, adv AdversaryPlan, seed int64, clientID int, data *dataset.ClientData, pm *ParamMsg) ([]*tensor.Tensor, float64, error) {
+	if pm.Cfg.Scenario.Name != "" {
+		// The server published a heterogeneity scenario with the round
+		// config: repartition the local dataset view so this client's shard
+		// matches the assignment every other participant uses. Pinned to the
+		// announced round so time-varying scenarios (incremental classes,
+		// decaying label noise) resolve to the same shard on every runtime.
+		p, err := pm.Cfg.Scenario.Partitioner()
+		if err != nil {
+			return nil, 0, err
+		}
+		data = data.RepartitionAt(p, pm.Round)
 	}
-	var ack AckMsg
-	if err := sess.ReadAck(&ack); err != nil {
-		return pm.Round, fmt.Errorf("fl: reading update receipt: %w", err)
+	ws.model.SetParams(TensorsFromWire(pm.Params))
+	ws.model.SetPrecision(pm.Cfg.Precision)
+	ws.rng.Reseed(seed, 4, int64(pm.Round), int64(clientID))
+	ws.env = ClientEnv{
+		ClientID: clientID,
+		Round:    pm.Round,
+		Model:    ws.model,
+		Data:     data,
+		RNG:      ws.rng,
+		Cfg:      pm.Cfg,
+		Arena:    ws.arena,
 	}
-	if !ack.Accepted {
-		return pm.Round, fmt.Errorf("fl: update not folded: %s", ack.Reason)
+	if pm.Cfg.NoiseEngine != NoiseReference {
+		ws.noise = ClientNoise(seed, pm.Round, clientID)
+		ws.env.Noise = &ws.noise
 	}
-	return pm.Round, nil
+	delta, _ := strat.ClientUpdate(&ws.env)
+	if adv != nil {
+		adv.CorruptUpdate(pm.Round, clientID, delta)
+	}
+	return delta, float64(data.Len()), nil
 }

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -228,5 +229,53 @@ func TestClientMuxQuantResetOnReturn(t *testing.T) {
 	}
 	if vc := returning.client(0); vc.LastRound != 2 || vc.NextRound != 3 {
 		t.Fatalf("returning cursor %+v, want LastRound 2 NextRound 3", vc)
+	}
+}
+
+// A mux launched from one experiment config must refuse a round of
+// another: the digest check lives in the session opener every client path
+// shares, so multiplexed clients enforce ClientOptions.ExpectDigest exactly
+// as RunRemoteClient does, and the server folds nothing from them.
+func TestClientMuxRefusesMismatchedDigest(t *testing.T) {
+	spec, err := dataset.Get("cancer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.New(spec, 42)
+	cfg := RoundConfig{BatchSize: 4, LocalIters: 1, LR: 0.1, TotalRounds: 1, ConfigDigest: "00000000000000aa"}
+	for _, tc := range []struct {
+		expect string
+		folded int
+	}{
+		{"00000000000000aa", 2},
+		{"00000000000000bb", 0},
+	} {
+		model := nn.Build(spec.ModelSpec(), tensor.NewRNG(7))
+		srv, err := NewRoundServer("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := &ClientMux{Spec: spec.ModelSpec(), Data: ds, Strat: sgdStrategy{}, Seed: 42, Workers: 1,
+			Opt: ClientOptions{ExpectDigest: tc.expect}}
+		done := make(chan []MuxResult, 1)
+		go func() {
+			done <- mux.RunRound([]MuxTask{{ClientID: 0, Addr: srv.Addr()}, {ClientID: 1, Addr: srv.Addr()}})
+		}()
+		res, err := srv.StreamRound(0, model.Params(), cfg, NewFedSGD(), RoundOptions{
+			Clients: 2, Deadline: time.Hour, MinQuorum: 1,
+		})
+		results := <-done
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Folded != tc.folded {
+			t.Fatalf("expect %s: server folded %d updates, want %d", tc.expect, res.Folded, tc.folded)
+		}
+		for _, r := range results {
+			if refused := r.Err != nil && strings.Contains(r.Err.Error(), "running experiment"); refused != (tc.folded == 0) {
+				t.Fatalf("expect %s: client %d got %v", tc.expect, r.ClientID, r.Err)
+			}
+		}
 	}
 }

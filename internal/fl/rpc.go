@@ -692,87 +692,24 @@ func RunRemoteClientOpts(addr string, clientID int, strat Strategy, data *datase
 // and counting it would both exit the loop early and starve later rounds
 // of this client (see ClientOptions.MinRound and cmd/fedclient).
 func RunRemoteClientRound(addr string, clientID int, strat Strategy, data *dataset.ClientData, spec nn.Spec, seed int64, opt ClientOptions) (int, error) {
-	conn, err := opt.dial(addr)
-	if err != nil {
-		return 0, fmt.Errorf("fl: dialing %s: %w", addr, err)
-	}
-	defer conn.Close()
-	var rw io.ReadWriter = conn
-	if opt.Secure {
-		sc, err := Handshake(conn)
-		if err != nil {
-			return 0, err
-		}
-		rw = sc
-	}
-
-	sess, err := newClientSession(rw, opt.Codec)
+	s, err := openSession(addr, opt)
 	if err != nil {
 		return 0, err
 	}
-	var pm ParamMsg
-	if err := sess.ReadParam(&pm); err != nil {
-		return 0, fmt.Errorf("fl: reading params: %w", err)
-	}
-	if pm.Denied {
-		return 0, fmt.Errorf("%w: %s", ErrRoundClosed, pm.Reason)
-	}
-	if err := pm.Validate(); err != nil {
-		return 0, fmt.Errorf("fl: invalid round announcement: %w", err)
-	}
-	if opt.ExpectDigest != "" && pm.Cfg.ConfigDigest != "" && pm.Cfg.ConfigDigest != opt.ExpectDigest {
-		return 0, fmt.Errorf("fl: server is running experiment %s, this client was configured for %s", pm.Cfg.ConfigDigest, opt.ExpectDigest)
-	}
-	if pm.Cfg.Scenario.Name != "" {
-		// The server published a heterogeneity scenario with the round
-		// config: repartition the local dataset view so this client's shard
-		// matches the assignment every other participant uses. Pinned to the
-		// announced round so time-varying scenarios (incremental classes,
-		// decaying label noise) resolve to the same shard on every runtime.
-		p, err := pm.Cfg.Scenario.Partitioner()
-		if err != nil {
-			return 0, err
-		}
-		data = data.RepartitionAt(p, pm.Round)
-	}
-	model := nn.Build(spec, tensor.NewRNG(0))
-	model.SetParams(TensorsFromWire(pm.Params))
-	model.SetPrecision(pm.Cfg.Precision)
-	arena := tensor.NewArena()
-	model.UseArena(arena)
-	env := &ClientEnv{
-		ClientID: clientID,
-		Round:    pm.Round,
-		Model:    model,
-		Data:     data,
-		RNG:      tensor.Split(seed, 4, int64(pm.Round), int64(clientID)),
-		Cfg:      pm.Cfg,
-		Arena:    arena,
-		Noise:    clientNoiseFor(pm.Cfg, seed, pm.Round, clientID),
-	}
-	delta, _ := strat.ClientUpdate(env)
-	if opt.Adversary != nil {
-		opt.Adversary.CorruptUpdate(pm.Round, clientID, delta)
+	defer s.conn.Close()
+	delta, weight, err := NewClientWorkspace(spec).train(strat, opt.Adversary, seed, clientID, data, &s.pm)
+	if err != nil {
+		return 0, err
 	}
 	qs := opt.QuantState
-	if pm.Round < opt.MinRound {
+	if s.pm.Round < opt.MinRound {
 		// Re-serving a round this client already completed: submit the
 		// (deterministically identical) update so the session resolves
 		// honestly — the server acknowledges it as a duplicate — but do
 		// not bank its quantization error a second time.
 		qs = nil
 	}
-	if err := sess.WriteUpdateTensors(clientID, pm.Round, float64(data.Len()), delta, opt.Quant, qs); err != nil {
-		return pm.Round, fmt.Errorf("fl: sending update: %w", err)
-	}
-	var ack AckMsg
-	if err := sess.ReadAck(&ack); err != nil {
-		return pm.Round, fmt.Errorf("fl: reading update receipt: %w", err)
-	}
-	if !ack.Accepted {
-		return pm.Round, fmt.Errorf("fl: update not folded: %s", ack.Reason)
-	}
-	return pm.Round, nil
+	return s.pm.Round, s.submit(clientID, weight, delta, opt.Quant, qs)
 }
 
 // AbandonSession connects to a round server, receives the round
@@ -781,34 +718,15 @@ func RunRemoteClientRound(addr string, clientID int, strat Strategy, data *datas
 // transit). The server observes the session error and counts the client as
 // failed; fault-injection harnesses (core.RunSimnet) use this to realize a
 // plan's crash and drop events at the transport level. Returns the
-// announced round, or an error if no announcement arrived (e.g. the
+// announced round, or an error if no valid announcement arrived (e.g. the
 // session was denied).
 func AbandonSession(addr string, opt ClientOptions) (int, error) {
-	conn, err := opt.dial(addr)
-	if err != nil {
-		return 0, fmt.Errorf("fl: dialing %s: %w", addr, err)
-	}
-	defer conn.Close()
-	var rw io.ReadWriter = conn
-	if opt.Secure {
-		sc, err := Handshake(conn)
-		if err != nil {
-			return 0, err
-		}
-		rw = sc
-	}
-	sess, err := newClientSession(rw, opt.Codec)
+	s, err := openSession(addr, opt)
 	if err != nil {
 		return 0, err
 	}
-	var pm ParamMsg
-	if err := sess.ReadParam(&pm); err != nil {
-		return 0, fmt.Errorf("fl: reading params: %w", err)
-	}
-	if pm.Denied {
-		return 0, fmt.Errorf("%w: %s", ErrRoundClosed, pm.Reason)
-	}
-	return pm.Round, nil
+	s.conn.Close()
+	return s.pm.Round, nil
 }
 
 // SendPartial forwards an edge aggregator's partial fold to the root for a
@@ -818,42 +736,90 @@ func AbandonSession(addr string, opt ClientOptions) (int, error) {
 // must match round, or the session resolves as an error. A nil return
 // means the root acknowledged folding the partial.
 func SendPartial(addr string, shard, round int, p *Partial, opt ClientOptions) error {
+	s, err := openSession(addr, opt)
+	if err != nil {
+		return err
+	}
+	defer s.conn.Close()
+	if s.pm.Round != round {
+		return fmt.Errorf("fl: root is serving round %d, partial is for %d", s.pm.Round, round)
+	}
+	if err := s.WriteUpdate(&UpdateMsg{ClientID: shard, Round: round, Partial: p.Wire()}); err != nil {
+		return fmt.Errorf("fl: sending partial: %w", err)
+	}
+	return s.receipt("partial")
+}
+
+// clientSession is an open client session that has received a valid round
+// announcement.
+type clientSession struct {
+	wireSession
+	conn net.Conn
+	pm   ParamMsg
+}
+
+// openSession is the single client-side session opener behind every
+// remote client, the ClientMux, AbandonSession and SendPartial: dial,
+// optional handshake, codec negotiation, the round announcement, refusal
+// (ErrRoundClosed), structural validation of the announcement and the
+// config-digest check (ClientOptions.ExpectDigest). The caller closes
+// s.conn.
+func openSession(addr string, opt ClientOptions) (_ *clientSession, err error) {
 	conn, err := opt.dial(addr)
 	if err != nil {
-		return fmt.Errorf("fl: dialing %s: %w", addr, err)
+		return nil, fmt.Errorf("fl: dialing %s: %w", addr, err)
 	}
-	defer conn.Close()
+	defer func() {
+		if err != nil {
+			conn.Close()
+		}
+	}()
 	var rw io.ReadWriter = conn
 	if opt.Secure {
 		sc, err := Handshake(conn)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rw = sc
 	}
-	sess, err := newClientSession(rw, opt.Codec)
-	if err != nil {
-		return err
+	s := &clientSession{conn: conn}
+	if s.wireSession, err = newClientSession(rw, opt.Codec); err != nil {
+		return nil, err
 	}
-	var pm ParamMsg
-	if err := sess.ReadParam(&pm); err != nil {
-		return fmt.Errorf("fl: reading params: %w", err)
+	pm := &s.pm
+	if err := s.ReadParam(pm); err != nil {
+		return nil, fmt.Errorf("fl: reading params: %w", err)
 	}
 	if pm.Denied {
-		return fmt.Errorf("%w: %s", ErrRoundClosed, pm.Reason)
+		return nil, fmt.Errorf("%w: %s", ErrRoundClosed, pm.Reason)
 	}
-	if pm.Round != round {
-		return fmt.Errorf("fl: root is serving round %d, partial is for %d", pm.Round, round)
+	if err := pm.Validate(); err != nil {
+		return nil, fmt.Errorf("fl: invalid round announcement: %w", err)
 	}
-	if err := sess.WriteUpdate(&UpdateMsg{ClientID: shard, Round: round, Partial: p.Wire()}); err != nil {
-		return fmt.Errorf("fl: sending partial: %w", err)
+	if opt.ExpectDigest != "" && pm.Cfg.ConfigDigest != "" && pm.Cfg.ConfigDigest != opt.ExpectDigest {
+		return nil, fmt.Errorf("fl: server is running experiment %s, this client was configured for %s", pm.Cfg.ConfigDigest, opt.ExpectDigest)
 	}
+	return s, nil
+}
+
+// submit sends a client's trained update for the announced round and
+// waits for the server's receipt.
+func (s *clientSession) submit(clientID int, weight float64, delta []*tensor.Tensor, quant int, qs *QuantState) error {
+	if err := s.WriteUpdateTensors(clientID, s.pm.Round, weight, delta, quant, qs); err != nil {
+		return fmt.Errorf("fl: sending update: %w", err)
+	}
+	return s.receipt("update")
+}
+
+// receipt reads the server's answer to a submission; what names the
+// submission ("update", "partial") in errors.
+func (s *clientSession) receipt(what string) error {
 	var ack AckMsg
-	if err := sess.ReadAck(&ack); err != nil {
-		return fmt.Errorf("fl: reading partial receipt: %w", err)
+	if err := s.ReadAck(&ack); err != nil {
+		return fmt.Errorf("fl: reading %s receipt: %w", what, err)
 	}
 	if !ack.Accepted {
-		return fmt.Errorf("fl: partial not folded: %s", ack.Reason)
+		return fmt.Errorf("fl: %s not folded: %s", what, ack.Reason)
 	}
 	return nil
 }
