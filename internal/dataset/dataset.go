@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"fedcdp/internal/nn"
 	"fedcdp/internal/tensor"
@@ -134,7 +135,6 @@ type Dataset struct {
 	seed   int64
 	protos []*tensor.Tensor
 	part   Partitioner
-	cache  *derivedCache // shared across WithPartitioner views; see cache.go
 }
 
 // New builds the benchmark's class prototypes from seed, partitioned with
@@ -148,7 +148,7 @@ func NewPartitioned(spec Spec, seed int64, p Partitioner) *Dataset {
 	if p == nil {
 		p = IID{}
 	}
-	d := &Dataset{Spec: spec, seed: seed, part: p, cache: newDerivedCache()}
+	d := &Dataset{Spec: spec, seed: seed, part: p}
 	d.protos = make([]*tensor.Tensor, spec.Classes)
 	for c := 0; c < spec.Classes; c++ {
 		d.protos[c] = d.makePrototype(c)
@@ -230,21 +230,73 @@ func clamp01(t *tensor.Tensor) {
 // Prototype returns the class prototype (do not mutate).
 func (d *Dataset) Prototype(class int) *tensor.Tensor { return d.protos[class] }
 
+// samplePool recycles the generators Sample draws noise from. One image
+// example reads hundreds of Gaussians, past the point where the source
+// materializes its 607-word register; a pooled generator re-derived with
+// Reseed reuses that register instead of allocating one per example.
+var samplePool = sync.Pool{New: func() any { return tensor.NewRNG(0) }}
+
 // Sample deterministically generates the idx-th example of the given class
 // on the given stream. The same (stream, idx, class) always yields the same
-// example; repeat draws are served from the derived cache (see cache.go),
-// and the returned tensor is always the caller's to mutate.
+// example, and the returned tensor is always the caller's to mutate.
 func (d *Dataset) Sample(stream, idx int64, class int) *tensor.Tensor {
-	key := sampleKey{stream: stream, idx: idx, class: class}
-	if x, ok := d.cache.getSample(key); ok {
-		return x
-	}
-	rng := tensor.Split(d.seed, 2000, stream, idx, int64(class))
+	rng := samplePool.Get().(*tensor.RNG)
+	rng.Reseed(d.seed, 2000, stream, idx, int64(class))
 	x := d.protos[class].Clone()
 	rng.AddNormal(x, d.Spec.Noise)
+	samplePool.Put(rng)
 	clamp01(x)
-	d.cache.putSample(key, x)
 	return x
+}
+
+// The scalar draws below read one or two values from a fresh Split stream.
+// Round-varying partitioners (incremental classes, decaying label noise)
+// append the round or stage as the stream's last Split label, so each
+// round draws fresh coins; round-static streams carry no round label, so
+// every closed-world draw stays on the stream it always had.
+
+// pickAt returns the uniform class pick of stream (seed, label, id, i) over
+// n choices.
+func (d *Dataset) pickAt(label, id, i int64, n int) int {
+	return tensor.Split(d.seed, label, id, i).Intn(n)
+}
+
+// pickAtRound returns the uniform pick of the round-keyed stream
+// (seed, label, id, i, round) over n choices — the draw rule of
+// round-varying partitioners (incremental classes keys it by stage, so
+// rounds inside one stage share a stream).
+func (d *Dataset) pickAtRound(label, id, i, round int64, n int) int {
+	return tensor.Split(d.seed, label, id, i, round).Intn(n)
+}
+
+// unitAt returns the uniform [0,1) draw of stream (seed, label, id, i).
+func (d *Dataset) unitAt(label, id, i int64) float64 {
+	return tensor.Split(d.seed, label, id, i).Float64()
+}
+
+// flipDraw holds the draw sequence of one label-flip stream: the uniform
+// that decides the flip and the class offset drawn after it. The pair does
+// not depend on the flip rate, so one stream serves any ρ (extraFlip's
+// per-client ρ varies by scenario).
+type flipDraw struct {
+	u     float64
+	other int
+}
+
+// flipDrawAt returns the draw pair of label-flip stream
+// (seed, label, stream, idx). Callers must have checked Classes >= 2.
+func (d *Dataset) flipDrawAt(label, stream, idx int64) flipDraw {
+	rng := tensor.Split(d.seed, label, stream, idx)
+	return flipDraw{u: rng.Float64(), other: rng.Intn(d.Spec.Classes - 1)}
+}
+
+// flipDrawAtRound returns the draw pair of the round-keyed label-flip
+// stream (seed, label, stream, idx, round) — fresh coins every round, the
+// draw rule of the decaying-label-noise scenario. Callers must have
+// checked Classes >= 2.
+func (d *Dataset) flipDrawAtRound(label, stream, idx, round int64) flipDraw {
+	rng := tensor.Split(d.seed, label, stream, idx, round)
+	return flipDraw{u: rng.Float64(), other: rng.Intn(d.Spec.Classes - 1)}
 }
 
 // flipLabel deterministically replaces the true class with a uniformly

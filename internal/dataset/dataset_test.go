@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"sync"
 	"testing"
 
 	"fedcdp/internal/nn"
@@ -365,4 +366,32 @@ func TestSampleCacheReturnsPrivateCopies(t *testing.T) {
 	if !b.Equal(c, 0) {
 		t.Fatal("cached sample differs from a fresh dataset's sample")
 	}
+}
+
+// TestSampleConcurrentMatchesSerial draws samples from several goroutines
+// at once — they share Sample's generator pool — and checks every one
+// against a serial draw of the same (stream, idx, class).
+func TestSampleConcurrentMatchesSerial(t *testing.T) {
+	spec, _ := Get("mnist")
+	d := New(spec, 17)
+	const workers, perWorker = 4, 24
+	want := make([][]*tensor.Tensor, workers)
+	for w := range want {
+		for i := 0; i < perWorker; i++ {
+			want[w] = append(want[w], d.Sample(int64(w), int64(i), i%spec.Classes))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if !d.Sample(int64(w), int64(i), i%spec.Classes).Equal(want[w][i], 0) {
+					t.Errorf("worker %d: concurrent sample %d differs from serial draw", w, i)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

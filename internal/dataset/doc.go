@@ -41,9 +41,7 @@
 // Datasets and ClientData views are safe for concurrent readers after
 // construction; WithPartitioner shares prototypes, so repartitioning an
 // existing dataset (e.g. applying a server-published scenario) is cheap.
-// Because every derivation is a pure function of the seed and its labels,
-// the dataset memoizes drawn values — sample tensors, flip draws, class
-// picks — in a bounded cache shared across views (cache.go): revisiting
-// an example skips the generator reseed entirely, and a cache hit is
-// bit-identical to recomputation by construction.
+// Every derivation is recomputed from the seed and its labels on each
+// call: deriving a stream costs only the draws read from it (see
+// tensor.RNG), so the dataset holds no memo of drawn values.
 package dataset

@@ -197,8 +197,7 @@ func specClasses(s Spec, id int) []int {
 // uniformClassAt is the original per-(client, index) class pick: uniform
 // over the shard's classes, drawn from Split label 3000. IID and
 // LabelNoiseSkew share it, which is what keeps the iid scenario bit-for-bit
-// compatible with the pre-partitioner Client(id). Picks are memoized in the
-// dataset's derived cache (see cache.go).
+// compatible with the pre-partitioner Client(id).
 func uniformClassAt(d *Dataset, id int, classes []int) func(int) int {
 	return func(i int) int {
 		return classes[d.pickAt(3000, int64(id), int64(i), len(classes))]
@@ -418,7 +417,7 @@ const incrementalStartClasses = 2
 // draws uniformly from the currently visible classes; the pick stream is
 // keyed by the stage (the visible-class count), so shards change exactly
 // at class-arrival boundaries and rounds within one stage share their
-// cached draws.
+// draws.
 type IncrementalClasses struct {
 	// Period is the rounds between class arrivals; 0 defaults to 5.
 	Period int
@@ -455,8 +454,7 @@ func (p IncrementalClasses) ShardAt(d *Dataset, id, round int) Shard {
 // draw LabelNoiseSkew uses) and the rate halves every Period rounds —
 // "users correct themselves". The flip coins are redrawn per round from
 // the round-keyed label-4200 stream, so which examples are mislabelled is
-// a pure function of (seed, clientID, round) — the scenario that exercises
-// the derived cache's round-keyed keys for real.
+// a pure function of (seed, clientID, round).
 type DecayingLabelNoise struct {
 	// Period is the rate's halving time in rounds; 0 defaults to 5.
 	Period int

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"container/heap"
 	"sync"
 	"time"
 )
@@ -15,12 +16,30 @@ import (
 type Clock struct {
 	mu     sync.Mutex
 	now    time.Time
-	timers []clockTimer
+	timers timerHeap
 }
 
 type clockTimer struct {
 	at time.Time
 	ch chan time.Time
+}
+
+// timerHeap is a min-heap of pending timers by deadline. Deadline timers
+// that nothing ever fires (a round's time.Hour cap, say) accumulate over a
+// run; keeping them ordered lets AdvanceTo, which runs on every fabric
+// read, pop only the due ones instead of scanning them all.
+type timerHeap []clockTimer
+
+func (h timerHeap) Len() int           { return len(h) }
+func (h timerHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
+func (h timerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *timerHeap) Push(x any)        { *h = append(*h, x.(clockTimer)) }
+func (h *timerHeap) Pop() any {
+	old := *h
+	tm := old[len(old)-1]
+	old[len(old)-1] = clockTimer{} // drop the channel reference
+	*h = old[:len(old)-1]
+	return tm
 }
 
 // simEpoch is virtual t=0. Any fixed instant works; Unix zero keeps
@@ -46,7 +65,7 @@ func (c *Clock) After(d time.Duration) <-chan time.Time {
 		ch <- c.now
 		return ch
 	}
-	c.timers = append(c.timers, clockTimer{at: c.now.Add(d), ch: ch})
+	heap.Push(&c.timers, clockTimer{at: c.now.Add(d), ch: ch})
 	return ch
 }
 
@@ -63,13 +82,7 @@ func (c *Clock) AdvanceTo(t time.Time) {
 	if t.After(c.now) {
 		c.now = t
 	}
-	kept := c.timers[:0]
-	for _, tm := range c.timers {
-		if !tm.at.After(c.now) {
-			tm.ch <- c.now
-		} else {
-			kept = append(kept, tm)
-		}
+	for len(c.timers) > 0 && !c.timers[0].at.After(c.now) {
+		heap.Pop(&c.timers).(clockTimer).ch <- c.now
 	}
-	c.timers = kept
 }

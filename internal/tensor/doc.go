@@ -23,7 +23,13 @@
 //     derives a child stream that depends only on (seed, labels...), so any
 //     component can be handed a stable stream regardless of goroutine
 //     scheduling. A stream's draws are sequential — two consumers must not
-//     share one RNG.
+//     share one RNG. The stream for a derived seed is exactly
+//     rand.New(rand.NewSource(seed))'s, bit for bit (source.go pins it
+//     against math/rand), but seeding is lazy: deriving a child costs
+//     O(words its draws read), not math/rand's 607-word fill, so a
+//     one-draw coin per (round, client) or per example is cheap enough to
+//     recompute instead of memoize. Reseed re-derives a generator in place
+//     without allocating, reusing a register a long stream materialized.
 //
 //   - CounterRNG (crng.go) is the counter-mode engine behind the parallel
 //     DP noise path: the k-th Gaussian of stream (seed, labels...) is a

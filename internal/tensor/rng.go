@@ -7,16 +7,23 @@ import (
 )
 
 // RNG is a deterministic random source with convenience samplers used across
-// the library. It wraps math/rand with an explicit seed so every component
-// can be driven from a root seed via Split, making distributed experiments
-// reproducible regardless of goroutine scheduling.
+// the library. It wraps math/rand's samplers around a lazily seeded copy of
+// math/rand's own source (see source.go), with an explicit seed so every
+// component can be driven from a root seed via Split, making distributed
+// experiments reproducible regardless of goroutine scheduling. Its stream
+// for seed is exactly rand.New(rand.NewSource(seed))'s; seeding costs only
+// the draws that follow it.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src lazySource
 }
 
 // NewRNG returns a deterministic generator seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := &RNG{}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // Split derives an independent child generator from this RNG's seed and a
@@ -42,11 +49,14 @@ func mixLabels(seed int64, labels []int64) uint64 {
 }
 
 // Reseed re-derives this generator in place to the stream Split(seed,
-// labels...) would return, without allocating a new source. Hot loops that
-// need a fresh child stream per item (per-client dropout coins, per-client
-// training RNGs) reseed one long-lived generator instead of allocating
-// Split garbage per item; the emitted stream is bit-identical to a fresh
-// Split child.
+// labels...) would return. It allocates nothing and costs a few
+// nanoseconds: the source is re-seeded lazily, and a register a long
+// stream already materialized is reused rather than reallocated. Hot loops
+// that need a fresh child stream per item (per-client dropout coins,
+// per-client training RNGs, per-example sample noise) reseed one
+// long-lived generator instead of allocating Split garbage per item; the
+// emitted stream is bit-identical to a fresh Split child, and nothing of
+// the previous stream survives.
 func (g *RNG) Reseed(seed int64, labels ...int64) {
 	g.r.Seed(int64(mixLabels(seed, labels)))
 }
