@@ -326,15 +326,16 @@ func TestSyntheticTaskIsLearnable(t *testing.T) {
 }
 
 func TestDerivedCacheIsInvisible(t *testing.T) {
-	// The derived cache (cache.go) memoizes sample tensors, flip draws and
-	// class picks. A warmed dataset must return bit-identical examples to a
-	// fresh one — on every partitioner, including views that share a cache
-	// through WithPartitioner — or the cache is changing streams, not timing.
+	// Sample tensors, flip draws and class picks are recomputed from Split
+	// on every query (the derived cache that once memoized them is
+	// deleted). A dataset that already answered a query must return
+	// bit-identical examples to a fresh one, on every partitioner: a draw
+	// may depend on its keys only, never on earlier traffic.
 	spec, _ := Get("adult") // LabelFlip > 0, so the flip streams are live
 	for _, part := range []Partitioner{IID{}, Dirichlet{Alpha: 0.3}, QuantitySkew{}, LabelNoiseSkew{}} {
 		warm := NewPartitioned(spec, 99, part)
 		wc := warm.Client(3)
-		// First pass populates the cache, second pass reads it back.
+		// Both passes must match a fresh dataset; the second repeats queries.
 		for pass := 0; pass < 2; pass++ {
 			fresh := NewPartitioned(spec, 99, part).Client(3)
 			for i := 0; i < 32; i++ {
@@ -351,6 +352,10 @@ func TestDerivedCacheIsInvisible(t *testing.T) {
 	}
 }
 
+// TestSampleCacheReturnsPrivateCopies: Sample hands the caller a tensor of
+// its own. Written when samples were memoized (a shared cached tensor could
+// be clobbered); with the memo deleted it pins that a caller's mutation
+// never reaches a later draw.
 func TestSampleCacheReturnsPrivateCopies(t *testing.T) {
 	spec, _ := Get("cancer")
 	d := New(spec, 5)

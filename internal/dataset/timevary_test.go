@@ -7,8 +7,10 @@ import (
 
 // Time-varying partitioners: shards are pure functions of
 // (seed, clientID, round), stages change exactly at their boundaries, and
-// the derived cache's round-keyed entries never serve one round's draws
-// for another — regardless of which round was queried first.
+// a round-keyed draw never depends on which rounds a dataset answered
+// before it. The derived-draw cache that once made that a hazard is gone
+// (every draw is recomputed from Split); these tests now pin that
+// recomputation is stable under any query order.
 
 // labelAt reads one example's final label without generating its sample:
 // the exact label path of ClientData.Get.
@@ -122,9 +124,11 @@ func TestDecayingLabelNoiseHalves(t *testing.T) {
 
 // TestTimeVaryingOrderInvariance: a shard is a pure function of
 // (seed, id, round) — the order rounds and clients are queried in, and
-// whether the derived cache is warm or cold, must not change a single
-// label. This is the regression for the round-blind cache keys: a warmed
-// cache used to serve round-r draws for round-r′.
+// whether the dataset answered other queries first, must not change a
+// single label. It began as the regression for the derived cache's
+// round-blind keys (a warmed cache served round-r draws for round-r′);
+// that cache is deleted, and "warm" now means a dataset that has already
+// answered other rounds.
 func TestTimeVaryingOrderInvariance(t *testing.T) {
 	spec, err := Get("mnist")
 	if err != nil {
@@ -132,7 +136,7 @@ func TestTimeVaryingOrderInvariance(t *testing.T) {
 	}
 	const rounds, clients = 6, 3
 	for _, part := range []Partitioner{IncrementalClasses{Period: 2}, DecayingLabelNoise{Period: 2}} {
-		// Fresh dataset per (id, round): every digest computed on a cold cache.
+		// Fresh dataset per (id, round): no earlier query can touch a digest.
 		cold := map[[2]int]uint64{}
 		for id := 0; id < clients; id++ {
 			for r := 0; r < rounds; r++ {
@@ -151,7 +155,7 @@ func TestTimeVaryingOrderInvariance(t *testing.T) {
 				}
 			}
 		}
-		// Re-query after everything is cached: still identical.
+		// Re-query after every shard was answered once: still identical.
 		for id := 0; id < clients; id++ {
 			for r := 0; r < rounds; r++ {
 				if labelDigest(warm, warm.ClientAt(id, r)) != cold[[2]int{id, r}] {
@@ -162,23 +166,25 @@ func TestTimeVaryingOrderInvariance(t *testing.T) {
 	}
 }
 
-// TestDerivedCacheRoundKeys pins the cache-key fix at the draw level:
-// round-keyed streams memoize on their full key, and round-static streams
-// stay on the degenerate round-0 key they always had.
+// TestDerivedCacheRoundKeys pins round keying at the draw level. It was
+// written for the derived cache's key fix (round-keyed streams memoized on
+// their full key, round-static streams on the round-0 key); the cache is
+// deleted, so it now pins that round-keyed draws depend on their round and
+// on nothing a dataset answered earlier.
 func TestDerivedCacheRoundKeys(t *testing.T) {
 	spec, err := Get("mnist")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference values from caches that only ever saw one round each.
+	// Reference values from datasets that only ever answered one round each.
 	ref0 := New(spec, 42).pickAtRound(labelIncrementalPick, 1, 2, 0, 4)
 	ref5 := New(spec, 42).pickAtRound(labelIncrementalPick, 1, 2, 5, 4)
 	d := New(spec, 42)
 	if got := d.pickAtRound(labelIncrementalPick, 1, 2, 5, 4); got != ref5 {
 		t.Fatalf("round-5 pick = %d, want %d", got, ref5)
 	}
-	// The poisoned-cache probe: before round entered the key, this returned
-	// the round-5 value just cached above.
+	// The poisoned-cache probe: when the derived cache keyed without the
+	// round, this returned the round-5 value drawn just above.
 	if got := d.pickAtRound(labelIncrementalPick, 1, 2, 0, 4); got != ref0 {
 		t.Fatalf("round-0 pick after round-5 warm-up = %d, want %d", got, ref0)
 	}
@@ -199,8 +205,7 @@ func TestDerivedCacheRoundKeys(t *testing.T) {
 		t.Fatal("round-0 flip draw poisoned by a round-7 warm-up")
 	}
 	// Round-static streams are untouched by round-keyed traffic on the same
-	// (label, stream, idx): the degenerate round-0 key keeps them separate
-	// only because the labels differ — same-label traffic shares by design.
+	// (label, stream, idx): each draw is its own Split of the labels.
 	u := New(spec, 42).unitAt(3300, 1, 2)
 	if got := d2.unitAt(3300, 1, 2); got != u {
 		t.Fatal("round-static unit draw diverges on a warmed cache")

@@ -3,7 +3,7 @@ package fl
 import (
 	"fmt"
 	"math"
-	"math/big"
+	"math/bits"
 	"sync"
 
 	"fedcdp/internal/tensor"
@@ -29,16 +29,45 @@ import (
 // fold is the single-shard exact fold (Shards=1), and every pre-existing
 // seeded golden — which runs with Shards=0 — is untouched.
 
-// exactPrec is the accumulator width in bits. A float64 addend spans at
-// most 53 mantissa bits anywhere in [2^-1074, 2^1024); after N ≤ 2^150
-// exact additions the sum's magnitude is below 2^(1024+150), so the widest
-// window any reachable sum needs is (1024+150) − (−1074) + margin < 2304.
-// Within that window big.Float addition at this precision never rounds.
-const exactPrec = 2304
+// Each ExactVec element is a superaccumulator (Neal, "Fast exact summation
+// using small and large superaccumulators", arXiv:1505.05571): a window of
+// signed radix-2^32 digits held in int64s, worth
+//
+//	Σ d[j]·2^(32·(lo+j) − exactBias)
+//
+// Digit 0 sits below 2^-1074, the weight of a float64's lowest bit, so a
+// finite addend m·2^(e−1075) (53-bit m; subnormals use e=1) is the mantissa
+// shifted left by (e+13) mod 32 and lands in three consecutive digits: an
+// Add is three int64 additions. The window grows on demand and Zero keeps
+// its capacity, so a reused accumulator allocates nothing.
+//
+// One addition moves a digit by less than 2^32, so the int64 digits absorb
+// exactCarryEvery additions (or merges of that many) before a carry pass
+// must bring every digit but the top back into [0, 2^32) and the signed top
+// into [−2^32, 2^32).
+const (
+	exactBias       = 1088 // 34 digits below 2^0
+	exactCarryEvery = 1 << 29
+	exactDigitMask  = 1<<32 - 1
+)
+
+// The envelope of reachable sums. Every addend is a multiple of 2^-1074
+// and below 2^1024 in magnitude, and no fold absorbs 2^64 addends, so no
+// honest sum has a set bit outside [2^-1074, 2^(1024+64)); wire scalars
+// outside it are rejected. The window then spans at most 68 digits.
+const (
+	exactLowBit  = -1074
+	exactHighBit = 1024 + 64
+)
+
+// exactStackDigits sizes the stack scratch that Round and ScalarWire carry
+// a copy of the window in. Model updates span a few digits; a wider window
+// (up to the envelope's 68) spills to the heap.
+const exactStackDigits = 16
 
 // Special-value codes tracked per element beside the exact accumulator
-// (big.Float has no NaN, and ±Inf must merge by IEEE rules: opposite
-// infinities yield NaN, NaN absorbs everything).
+// (the digits hold finite values only, and ±Inf must merge by IEEE rules:
+// opposite infinities yield NaN, NaN absorbs everything).
 const (
 	exactFinite byte = iota
 	exactPosInf
@@ -73,36 +102,40 @@ func specFloat(s byte) float64 {
 }
 
 // ExactVec is a vector of exact fixed-point accumulators for float64
-// addends. Addition is exact (see exactPrec), hence commutative and
+// addends. Addition is exact (see exactBias), hence commutative and
 // associative: sums are invariant to arrival order, grouping, shard
 // assignment and tree fanout, which is the arithmetic foundation of the
 // hierarchical fold. Round performs the single round-to-nearest-even per
 // element. Not safe for concurrent use; the aggregators lock around it.
 type ExactVec struct {
-	acc     []big.Float
-	spec    []byte
-	scratch big.Float
+	el   []exactDigits
+	spec []byte
+	// adds bounds the additions any element absorbed since the last carry
+	// pass: every digit's magnitude is at most adds·2^32.
+	adds int
+}
+
+// exactDigits is one element's digit window; an empty window is zero.
+type exactDigits struct {
+	lo int32 // digit index of d[0]
+	d  []int64
 }
 
 // NewExactVec returns a zeroed n-element exact accumulator.
 func NewExactVec(n int) *ExactVec {
-	v := &ExactVec{acc: make([]big.Float, n), spec: make([]byte, n)}
-	for i := range v.acc {
-		v.acc[i].SetPrec(exactPrec)
-	}
-	v.scratch.SetPrec(53)
-	return v
+	return &ExactVec{el: make([]exactDigits, n), spec: make([]byte, n)}
 }
 
 // Len returns the element count.
-func (v *ExactVec) Len() int { return len(v.acc) }
+func (v *ExactVec) Len() int { return len(v.el) }
 
 // Zero resets every element to an empty sum (for reuse across rounds).
 func (v *ExactVec) Zero() {
-	for i := range v.acc {
-		v.acc[i].SetInt64(0)
+	for i := range v.el {
+		v.el[i].d = v.el[i].d[:0]
 		v.spec[i] = exactFinite
 	}
+	v.adds = 0
 }
 
 // Add absorbs one float64 addend into element i, exactly. Zero addends are
@@ -110,30 +143,16 @@ func (v *ExactVec) Zero() {
 // negative zeros to +0, one of the documented exact-mode semantics).
 // Non-finite addends fold into the element's special-value code.
 func (v *ExactVec) Add(i int, x float64) {
-	if x == 0 {
-		return
-	}
-	if math.IsNaN(x) {
-		v.spec[i] = mergeSpec(v.spec[i], exactNaN)
-		return
-	}
-	if math.IsInf(x, 1) {
-		v.spec[i] = mergeSpec(v.spec[i], exactPosInf)
-		return
-	}
-	if math.IsInf(x, -1) {
-		v.spec[i] = mergeSpec(v.spec[i], exactNegInf)
-		return
-	}
-	v.scratch.SetFloat64(x)
-	v.acc[i].Add(&v.acc[i], &v.scratch)
+	v.add(i, x)
+	v.counted()
 }
 
 // AddAll absorbs data element-wise: acc[i] += data[i].
 func (v *ExactVec) AddAll(data []float64) {
 	for i, x := range data {
-		v.Add(i, x)
+		v.add(i, x)
 	}
+	v.counted()
 }
 
 // AddAllScaled absorbs the float64-rounded products fl(s·data[i]) —
@@ -142,39 +161,277 @@ func (v *ExactVec) AddAll(data []float64) {
 // how contributions are summed.
 func (v *ExactVec) AddAllScaled(s float64, data []float64) {
 	for i, x := range data {
-		v.Add(i, s*x)
+		v.add(i, s*x)
+	}
+	v.counted()
+}
+
+// counted records one more addition per element and runs the carry pass
+// when the digits' headroom is used up.
+func (v *ExactVec) counted() {
+	v.adds++
+	if v.adds >= exactCarryEvery {
+		v.carryAll()
 	}
 }
 
+// add absorbs x into element i without counting it.
+func (v *ExactVec) add(i int, x float64) {
+	b := math.Float64bits(x)
+	e := uint(b>>52) & 0x7ff
+	m := b & (1<<52 - 1)
+	switch e {
+	case 0x7ff:
+		s := exactNaN
+		if m == 0 {
+			s = exactPosInf
+			if x < 0 {
+				s = exactNegInf
+			}
+		}
+		v.spec[i] = mergeSpec(v.spec[i], s)
+		return
+	case 0:
+		if m == 0 {
+			return
+		}
+		e = 1
+	default:
+		m |= 1 << 52
+	}
+	p := e + 13 // bit position of m's lowest bit above digit 0's
+	k := int32(p >> 5)
+	s := p & 31
+	d0 := int64(m << s & exactDigitMask)
+	d1 := int64(m << s >> 32)
+	d2 := int64(m >> (64 - s))
+	el := &v.el[i]
+	j := int(k - el.lo)
+	if j < 0 || j+3 > len(el.d) {
+		j = el.widen(k, k+3)
+	}
+	w := el.d[j : j+3 : j+3]
+	if int64(b) < 0 {
+		w[0] -= d0
+		w[1] -= d1
+		w[2] -= d2
+	} else {
+		w[0] += d0
+		w[1] += d1
+		w[2] += d2
+	}
+}
+
+// widen extends the window to cover digit indices [lo, hi), zeroing the
+// new digits, and returns the position of digit lo in the window.
+func (el *exactDigits) widen(lo, hi int32) int {
+	n := int32(len(el.d))
+	if n == 0 {
+		el.lo = lo
+		el.d = zeroDigits(el.d, int(hi-lo))
+		return 0
+	}
+	newLo, newHi := el.lo, el.lo+n
+	if lo < newLo {
+		newLo = lo
+	}
+	if hi > newHi {
+		newHi = hi
+	}
+	shift := int(el.lo - newLo)
+	old := el.d
+	d := zeroDigits(old, int(newHi-newLo))
+	copy(d[shift:], old[:n]) // an in-place shift up when d aliases old
+	clear(d[:shift])
+	el.lo, el.d = newLo, d
+	return int(lo - newLo)
+}
+
+// zeroDigits returns a size-digit slice, reusing d's capacity when it
+// suffices, with every digit past len(d) zeroed.
+func zeroDigits(d []int64, size int) []int64 {
+	if size > cap(d) {
+		c := 2 * cap(d)
+		if c < size+2 {
+			c = size + 2
+		}
+		nd := make([]int64, size, c)
+		copy(nd, d)
+		return nd
+	}
+	n := len(d)
+	d = d[:size]
+	if n < size {
+		clear(d[n:])
+	}
+	return d
+}
+
+// carryDigits runs a carry pass over d: every digit but the top into
+// [0, 2^32), the signed top into [−2^32, 2^32). The value is unchanged;
+// the window grows at the top only when the top digit itself overflows.
+func carryDigits(d []int64) []int64 {
+	last := len(d) - 1
+	var c int64
+	for j := 0; j < last; j++ {
+		x := d[j] + c
+		d[j] = x & exactDigitMask
+		c = x >> 32
+	}
+	t := d[last] + c
+	for t>>32 != 0 && t>>32 != -1 {
+		d[last] = t & exactDigitMask
+		t >>= 32
+		d = append(d, 0)
+		last++
+	}
+	d[last] = t
+	return d
+}
+
+// carryAll runs the carry pass over every element.
+func (v *ExactVec) carryAll() {
+	for i := range v.el {
+		if el := &v.el[i]; len(el.d) > 0 {
+			el.d = carryDigits(el.d)
+		}
+	}
+	v.adds = 1
+}
+
 // Merge absorbs another accumulator: the grouping step of a tree fold.
+// The source is only read (a TakePartial snapshot aliases live
+// accumulators), and v.Merge(v) doubles v.
 func (v *ExactVec) Merge(o *ExactVec) error {
 	if o.Len() != v.Len() {
 		return fmt.Errorf("fl: exact merge of %d elements into %d", o.Len(), v.Len())
 	}
-	for i := range v.acc {
+	for i := range v.el {
 		v.spec[i] = mergeSpec(v.spec[i], o.spec[i])
-		v.acc[i].Add(&v.acc[i], &o.acc[i])
+		src := o.el[i]
+		if len(src.d) == 0 {
+			continue
+		}
+		dst := &v.el[i]
+		j := int(src.lo - dst.lo)
+		if len(dst.d) == 0 || j < 0 || j+len(src.d) > len(dst.d) {
+			// Never taken when o == v: a window always covers itself.
+			j = dst.widen(src.lo, src.lo+int32(len(src.d)))
+		}
+		w := dst.d[j : j+len(src.d)]
+		for k, x := range src.d {
+			w[k] += x
+		}
+	}
+	v.adds += o.adds
+	if v.adds >= exactCarryEvery {
+		v.carryAll()
 	}
 	return nil
 }
 
+// magnitude carries a copy of element i's digits in dst and returns the
+// digits of |sum| (each in [0, 2^32), top digit nonzero; empty for a zero
+// sum) with the sum's sign. The element itself is not modified.
+func (v *ExactVec) magnitude(i int, dst []int64) (mag []int64, neg bool) {
+	if len(v.el[i].d) == 0 {
+		return nil, false
+	}
+	d := carryDigits(append(dst, v.el[i].d...))
+	if neg = d[len(d)-1] < 0; neg {
+		for j := range d {
+			d[j] = -d[j]
+		}
+		d = carryDigits(d)
+	}
+	for len(d) > 0 && d[len(d)-1] == 0 {
+		d = d[:len(d)-1]
+	}
+	return d, neg
+}
+
+// digitsAt returns the 64 bits of the nonnegative digit string d starting
+// at bit pos (bits outside the window read as zero; pos may be negative).
+func digitsAt(d []int64, pos int) uint64 {
+	j, s := pos>>5, uint(pos&31)
+	digit := func(k int) uint64 {
+		if k < 0 || k >= len(d) {
+			return 0
+		}
+		return uint64(d[k])
+	}
+	return (digit(j)|digit(j+1)<<32)>>s | digit(j+2)<<(64-s)
+}
+
+// anyBelow reports whether the nonnegative digit string d has a set bit
+// below bit pos.
+func anyBelow(d []int64, pos int) bool {
+	if pos <= 0 {
+		return false
+	}
+	j, s := pos>>5, uint(pos&31)
+	if j >= len(d) {
+		j, s = len(d), 0
+	}
+	for _, x := range d[:j] {
+		if x != 0 {
+			return true
+		}
+	}
+	return s > 0 && d[j]&(1<<s-1) != 0
+}
+
 // Round returns element i rounded once to the nearest float64 (ties to
 // even); sums beyond the float64 range come back as ±Inf, and elements
-// poisoned by non-finite addends as their IEEE-merged special value.
+// poisoned by non-finite addends as their IEEE-merged special value. An
+// empty or cancelled sum is +0.
 func (v *ExactVec) Round(i int) float64 {
 	if v.spec[i] != exactFinite {
 		return specFloat(v.spec[i])
 	}
-	f, _ := v.acc[i].Float64()
-	return f
+	var buf [exactStackDigits]int64
+	mag, neg := v.magnitude(i, buf[:0])
+	if len(mag) == 0 {
+		return 0
+	}
+	base := 32*int(v.el[i].lo) - exactBias // weight of mag's bit 0
+	top := len(mag) - 1
+	high := base + 32*top + bits.Len64(uint64(mag[top])) - 1
+	// The result is m·2^q with q the weight of the last kept bit: 53 bits
+	// below the top, but never under the subnormal quantum 2^-1074.
+	q := high - 52
+	if q < exactLowBit {
+		q = exactLowBit
+	}
+	r := q - 1 - base // the round bit's position in mag
+	x := digitsAt(mag, r)
+	m := x >> 1
+	if x&1 != 0 && (m&1 != 0 || anyBelow(mag, r)) {
+		m++
+	}
+	if m == 1<<53 {
+		m >>= 1
+		q++
+	}
+	// For m in [2^52, 2^53) this is the biased exponent q+1075 over the
+	// 52-bit fraction; at q = -1074 with m < 2^52 it is the subnormal m.
+	f := uint64(q-exactLowBit)<<52 + m
+	if q > 1023-52 {
+		f = 0x7ff << 52
+	}
+	if neg {
+		f |= 1 << 63
+	}
+	return math.Float64frombits(f)
 }
 
 // --- Wire form -------------------------------------------------------------
 
-// Caps on hostile wire input: a mantissa cannot be wider than the
-// accumulator, and no reachable sum's exponent leaves ±2^20.
+// Caps on hostile wire input, checked before the envelope: no mantissa
+// exceeds 288 bytes (the codecs' long-standing bound; an envelope scalar
+// needs at most 271) and no exponent leaves ±2^20.
 const (
-	exactMantBytes = exactPrec / 8
+	exactMantBytes = 288
 	exactExpBound  = 1 << 20
 )
 
@@ -191,25 +448,67 @@ type ExactScalarWire struct {
 
 // ScalarWire returns element i in wire form.
 func (v *ExactVec) ScalarWire(i int) ExactScalarWire {
-	w := ExactScalarWire{Spec: v.spec[i]}
-	a := &v.acc[i]
-	if a.Sign() == 0 {
-		return w
-	}
-	w.Neg = a.Signbit()
-	var mant big.Float
-	exp := a.MantExp(&mant) // |mant| ∈ [0.5, 1), value = mant·2^exp
-	mant.Abs(&mant)
-	p := int(a.MinPrec())
-	mant.SetMantExp(&mant, p) // integer in [2^(p-1), 2^p)
-	mi, _ := mant.Int(nil)    // exact: mant is an integer
-	w.Mant = mi.Bytes()
-	w.Exp = int64(exp - p)
+	w, _ := v.appendScalarWire(nil, i)
 	return w
 }
 
-// validateExactScalar rejects wire scalars outside the representable
-// envelope before any allocation or arithmetic touches them.
+// appendScalarWire returns element i in wire form with its mantissa
+// appended to buf (capped, so later appends never overwrite it): Mant is
+// odd and minimal, and Exp the weight of its lowest bit.
+func (v *ExactVec) appendScalarWire(buf []byte, i int) (ExactScalarWire, []byte) {
+	w := ExactScalarWire{Spec: v.spec[i]}
+	var dbuf [exactStackDigits]int64
+	mag, neg := v.magnitude(i, dbuf[:0])
+	if len(mag) == 0 {
+		return w, buf
+	}
+	w.Neg = neg
+	b := 0
+	for mag[b] == 0 {
+		b++
+	}
+	low := 32*b + bits.TrailingZeros64(uint64(mag[b]))
+	top := len(mag) - 1
+	high := 32*top + bits.Len64(uint64(mag[top])) - 1
+	w.Exp = int64(32*int(v.el[i].lo) - exactBias + low)
+	n := (high-low)/8 + 1
+	start := len(buf)
+	buf = append(buf, make([]byte, n)...)
+	out := buf[start:]
+	for c := 0; c < n; c += 4 {
+		x := digitsAt(mag, low+8*c)
+		for u := c; u < n && u < c+4; u++ {
+			out[n-1-u] = byte(x)
+			x >>= 8
+		}
+	}
+	w.Mant = out[:n:n]
+	return w, buf
+}
+
+// mantBits returns the positions of the lowest and highest set bits of a
+// big-endian mantissa; ok is false when it is zero.
+func mantBits(mant []byte) (low, high int, ok bool) {
+	s := 0
+	for s < len(mant) && mant[s] == 0 {
+		s++
+	}
+	if s == len(mant) {
+		return 0, 0, false
+	}
+	t := len(mant) - 1
+	for mant[t] == 0 {
+		t--
+	}
+	low = 8*(len(mant)-1-t) + bits.TrailingZeros8(mant[t])
+	high = 8*(len(mant)-1-s) + bits.Len8(mant[s]) - 1
+	return low, high, true
+}
+
+// validateExactScalar rejects wire scalars outside the envelope of
+// reachable sums before any allocation or arithmetic touches them. A
+// scalar beyond it could not be absorbed exactly: its low bits would
+// vanish from every later sum, or it would need thousands of digits.
 func validateExactScalar(w ExactScalarWire) error {
 	switch {
 	case w.Spec > exactNaN:
@@ -219,6 +518,14 @@ func validateExactScalar(w ExactScalarWire) error {
 	case w.Exp < -exactExpBound || w.Exp > exactExpBound:
 		return fmt.Errorf("fl: exact exponent %d outside ±%d", w.Exp, exactExpBound)
 	}
+	low, high, ok := mantBits(w.Mant)
+	switch {
+	case !ok:
+	case w.Exp+int64(low) < exactLowBit:
+		return fmt.Errorf("fl: exact scalar has a set bit at 2^%d, below 2^%d", w.Exp+int64(low), exactLowBit)
+	case w.Exp+int64(high) >= exactHighBit:
+		return fmt.Errorf("fl: exact scalar reaches 2^%d, at or above 2^%d", w.Exp+int64(high), exactHighBit)
+	}
 	return nil
 }
 
@@ -227,20 +534,46 @@ func (v *ExactVec) SetScalarWire(i int, w ExactScalarWire) error {
 	if err := validateExactScalar(w); err != nil {
 		return err
 	}
-	v.spec[i] = w.Spec
-	a := &v.acc[i]
-	if len(w.Mant) == 0 {
-		a.SetInt64(0)
-		return nil
-	}
-	var mi big.Int
-	mi.SetBytes(w.Mant)
-	a.SetInt(&mi)
-	a.SetMantExp(a, int(w.Exp))
-	if w.Neg {
-		a.Neg(a)
-	}
+	v.setScalarWire(i, w)
 	return nil
+}
+
+// setScalarWire installs a validated wire scalar into element i.
+func (v *ExactVec) setScalarWire(i int, w ExactScalarWire) {
+	v.spec[i] = w.Spec
+	el := &v.el[i]
+	el.d = el.d[:0]
+	low, high, ok := mantBits(w.Mant)
+	if !ok {
+		return
+	}
+	if v.adds == 0 {
+		v.adds = 1
+	}
+	// Whole mantissa bytes lo..hi (counted from the least significant)
+	// hold every set bit; inside the envelope byte lo starts at or above
+	// digit 0. Stream them into the digits 32 bits at a time.
+	lo, hi := low/8, high/8
+	p := int(w.Exp) + exactBias + 8*lo
+	el.widen(int32(p>>5), int32((p+8*(hi-lo)+7)>>5)+1)
+	sign := int64(1)
+	if w.Neg {
+		sign = -1
+	}
+	var acc uint64
+	n, k := uint(p&31), 0
+	for t := len(w.Mant) - 1 - lo; t >= len(w.Mant)-1-hi; t-- {
+		acc |= uint64(w.Mant[t]) << n
+		if n += 8; n >= 32 {
+			el.d[k] = sign * int64(acc&exactDigitMask)
+			k++
+			acc >>= 32
+			n -= 32
+		}
+	}
+	if n > 0 {
+		el.d[k] = sign * int64(acc)
+	}
 }
 
 // ExactTensorWire is one shaped exact-sum tensor in wire form.
@@ -290,7 +623,8 @@ func (p *Partial) Merge(o *Partial) error {
 	return nil
 }
 
-// Wire converts the partial to its wire form.
+// Wire converts the partial to its wire form. Each tensor's mantissas are
+// carved from one buffer.
 func (p *Partial) Wire() *PartialWire {
 	w := &PartialWire{Rule: p.Rule, Clients: p.Clients, Sums: make([]ExactTensorWire, len(p.Sums))}
 	for i, s := range p.Sums {
@@ -298,8 +632,17 @@ func (p *Partial) Wire() *PartialWire {
 			Shape: append([]int(nil), p.Shapes[i]...),
 			Elems: make([]ExactScalarWire, s.Len()),
 		}
+		// A carried window of n digits needs at most 4n+8 mantissa bytes;
+		// a short guess only costs a reallocation.
+		size := 0
+		for _, el := range s.el {
+			if len(el.d) > 0 {
+				size += 4*len(el.d) + 8
+			}
+		}
+		buf := make([]byte, 0, size)
 		for j := range tw.Elems {
-			tw.Elems[j] = s.ScalarWire(j)
+			tw.Elems[j], buf = s.appendScalarWire(buf, j)
 		}
 		w.Sums[i] = tw
 	}
@@ -376,17 +719,13 @@ func PartialFromWire(w *PartialWire) (*Partial, error) {
 		p.Shapes[i] = append([]int(nil), t.Shape...)
 		v := NewExactVec(len(t.Elems))
 		for j, e := range t.Elems {
-			if err := v.SetScalarWire(j, e); err != nil {
-				return nil, err
-			}
+			v.setScalarWire(j, e)
 		}
 		p.Sums[i] = v
 	}
 	if w.HasWSum {
 		p.WSum = NewExactVec(1)
-		if err := p.WSum.SetScalarWire(0, w.WSum); err != nil {
-			return nil, err
-		}
+		p.WSum.setScalarWire(0, w.WSum)
 	}
 	return p, nil
 }

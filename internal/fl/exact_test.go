@@ -463,3 +463,67 @@ func TestNewAggregatorForSelectsImplementation(t *testing.T) {
 		t.Fatal("unknown rule accepted")
 	}
 }
+
+func TestExactScalarWireEnvelope(t *testing.T) {
+	// 2^(2^19) once passed validation; absorbing it rounded away every low
+	// bit, so x + 1 − x folded to 0. Scalars outside the envelope of
+	// reachable sums must be refused; every scalar inside it is exact.
+	huge := ExactScalarWire{Exp: 1 << 19, Mant: []byte{1}}
+	v := NewExactVec(1)
+	if err := v.SetScalarWire(0, huge); err == nil {
+		v.Add(0, 1)
+		neg := NewExactVec(1)
+		huge.Neg = true
+		if err := neg.SetScalarWire(0, huge); err != nil {
+			t.Fatal(err)
+		}
+		v.Merge(neg)
+		t.Fatalf("2^(2^19) accepted, and 2^(2^19) + 1 − 2^(2^19) folds to %v", v.Round(0))
+	}
+	cases := []struct {
+		w  ExactScalarWire
+		ok bool
+	}{
+		{ExactScalarWire{Exp: -1074, Mant: []byte{1}}, true},
+		{ExactScalarWire{Exp: -1075, Mant: []byte{1}}, false},
+		{ExactScalarWire{Exp: -1075, Mant: []byte{2}}, true},
+		{ExactScalarWire{Exp: -1082, Mant: []byte{1, 0}}, true},
+		{ExactScalarWire{Exp: -1083, Mant: []byte{1, 0}}, false},
+		{ExactScalarWire{Exp: -2000, Mant: []byte{3}}, false},
+		{ExactScalarWire{Exp: 1087, Mant: []byte{1}, Neg: true}, true},
+		{ExactScalarWire{Exp: 1088, Mant: []byte{1}}, false},
+		{ExactScalarWire{Exp: 1080, Mant: []byte{0, 0xff}}, true},
+		{ExactScalarWire{Exp: 1081, Mant: []byte{0xff}}, false},
+		{ExactScalarWire{Exp: 1 << 19, Mant: []byte{1}, Neg: true}, false},
+		{ExactScalarWire{Exp: 5, Mant: []byte{0, 0}}, true},
+	}
+	for _, c := range cases {
+		v := NewExactVec(1)
+		err := v.SetScalarWire(0, c.w)
+		if (err == nil) != c.ok {
+			t.Fatalf("%+v: accepted=%v, want %v (%v)", c.w, err == nil, c.ok, err)
+		}
+		pw := &PartialWire{Rule: AggWeighted, Clients: 1, HasWSum: true, WSum: c.w,
+			Sums: []ExactTensorWire{{Shape: []int{1}, Elems: []ExactScalarWire{c.w}}}}
+		if verr := pw.Validate(); (verr == nil) != c.ok {
+			t.Fatalf("%+v: partial accepted=%v, want %v", c.w, verr == nil, c.ok)
+		}
+		if !c.ok {
+			continue
+		}
+		// Inside the envelope absorption is exact: x + 1 − x = 1.
+		v.Add(0, 1)
+		neg := NewExactVec(1)
+		w := c.w
+		w.Neg = !w.Neg
+		if err := neg.SetScalarWire(0, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Merge(neg); err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Round(0); got != 1 {
+			t.Fatalf("%+v: x + 1 − x folds to %v", c.w, got)
+		}
+	}
+}

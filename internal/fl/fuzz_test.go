@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"reflect"
 	"testing"
 
 	"fedcdp/internal/tensor"
@@ -197,6 +198,80 @@ func FuzzSparseWire(f *testing.F) {
 		back := TensorsFromSparse(SparseFromTensors(ts))
 		if !ts[0].Equal(back[0], 0) {
 			t.Fatal("sparse round-trip changed the tensor")
+		}
+	})
+}
+
+// FuzzPartialWire drives an edge's partial fold through both codecs: the
+// bytes decode (gob when binary is false, the binary update payload
+// otherwise) into an update carrying a partial, which PartialFromWire must
+// refuse or turn into a partial whose digit windows stay inside the wire
+// envelope, whose values agree element by element with the big.Float
+// oracle's reading of the same scalars, and whose re-encoding is a fixed
+// point of both codecs.
+func FuzzPartialWire(f *testing.F) {
+	g := tensor.NewRNG(3)
+	params, updates, weights := randomRound(g, 3)
+	for _, rule := range []string{AggFedSGD, AggFedAvg, AggWeighted} {
+		a, _ := NewExact(rule)
+		a.Begin(params)
+		for c := range updates {
+			a.FoldClient(c, updates[c], weights[c])
+		}
+		m := UpdateMsg{ClientID: 0, Round: 2, Partial: a.TakePartial().Wire()}
+		f.Add(gobBytes(f, m), false)
+		f.Add(appendUpdatePayload(nil, &m), true)
+	}
+	hostile := UpdateMsg{Partial: &PartialWire{Rule: AggFedSGD, Clients: 1,
+		Sums: []ExactTensorWire{{Shape: []int{1}, Elems: []ExactScalarWire{{Exp: 1 << 19, Mant: []byte{1}}}}}}}
+	f.Add(gobBytes(f, hostile), false)
+	f.Add(appendUpdatePayload(nil, &hostile), true)
+	f.Add([]byte(nil), true)
+
+	f.Fuzz(func(t *testing.T, data []byte, binary bool) {
+		var m UpdateMsg
+		if binary {
+			if parseUpdatePayload(data, &m) != nil {
+				return
+			}
+		} else if gob.NewDecoder(bytes.NewReader(data)).Decode(&m) != nil {
+			return
+		}
+		if m.Partial == nil {
+			return
+		}
+		p, err := PartialFromWire(m.Partial)
+		if err != nil {
+			return
+		}
+		w := p.Wire()
+		for i, s := range p.Sums {
+			ref := newBigExactVec(s.Len())
+			for j, e := range m.Partial.Sums[i].Elems {
+				if len(s.el[j].d) > (exactHighBit-exactLowBit)/32+2 {
+					t.Fatalf("tensor %d element %d holds %d digits", i, j, len(s.el[j].d))
+				}
+				if err := ref.SetScalarWire(j, e); err != nil {
+					t.Fatalf("oracle refused a validated scalar %+v: %v", e, err)
+				}
+				if got, want := w.Sums[i].Elems[j], ref.ScalarWire(j); !sameScalarWire(got, want) {
+					t.Fatalf("tensor %d element %d re-encodes to %+v, oracle %+v", i, j, got, want)
+				}
+			}
+		}
+		again, err := PartialFromWire(w)
+		if err != nil {
+			t.Fatalf("re-decoding a decoded partial: %v", err)
+		}
+		if !reflect.DeepEqual(again.Wire(), w) {
+			t.Fatal("partial wire form is not a fixed point")
+		}
+		var viaBinary UpdateMsg
+		if err := parseUpdatePayload(appendUpdatePayload(nil, &UpdateMsg{Partial: w}), &viaBinary); err != nil {
+			t.Fatalf("binary re-parse: %v", err)
+		}
+		if !reflect.DeepEqual(viaBinary.Partial, w) {
+			t.Fatal("binary round-trip changed the partial")
 		}
 	})
 }

@@ -20,7 +20,7 @@ import (
 // round — the explicit price of robustness, paid only when a robust rule is
 // selected. The buffered statistics are pure functions of the update
 // MULTISET: the median picks sorted middles ((a+b)/2 for even n), the
-// trimmed mean sorts before trimming and sums survivors in exact (big.Float)
+// trimmed mean sorts before trimming and sums survivors in exact (ExactVec)
 // arithmetic, and Krum's pairwise distances are symmetric with a
 // deterministic total-order tie-break — so Commit is bit-identical in any
 // arrival order, at any GOMAXPROCS, even over the simnet fabric's
@@ -131,7 +131,7 @@ func (a *CoordMedianAggregator) Commit(params []*tensor.Tensor) {
 
 // TrimmedMeanAggregator commits W ← W + trimmedmean_β(ΔW) coordinate-wise:
 // each coordinate sorts its Kt values, discards the ⌊β·Kt⌋ smallest and
-// largest, and averages the survivors in exact (big.Float) arithmetic,
+// largest, and averages the survivors in exact (ExactVec) arithmetic,
 // rounding once — so at β=0 the commit is bit-identical to the flat exact
 // mean fold (NewExact, the repo's mean parity oracle), and at any β the
 // result is arrival-order invariant. Buffers O(Kt·model).
